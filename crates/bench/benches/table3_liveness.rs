@@ -46,7 +46,11 @@ fn bench_liveness(c: &mut Criterion) {
 
 /// One cold check on the compiled engine through a fresh session with a
 /// pool of one, so each iteration builds the run graph anew.
-fn check_engine<A: TmAlgorithm>(tm: &A, property: LivenessProperty) -> LivenessVerdict {
+fn check_engine<A>(tm: &A, property: LivenessProperty) -> LivenessVerdict
+where
+    A: TmAlgorithm + Sync,
+    A::State: Send + Sync,
+{
     Verifier::new(tm.threads(), tm.vars())
         .pool_size(1)
         .check_liveness(tm, property)

@@ -2,8 +2,11 @@
 //! engine on every TM × contention-manager combination at (3, 1) and
 //! (2, 2) — instance sizes beyond the paper's (2, 1) Table 3 — and
 //! cross-checks every counterexample against the word-level property
-//! oracle. A regression on the engine (hang, state-space blowup, bogus
-//! lasso) fails or times this run out instead of wedging the test job.
+//! oracle. Every combination's run graph is also built twice, inline
+//! (`Executor::Sequential`) and on a pool of the session's size, and the
+//! two builds must agree array for array. A regression on the engine
+//! (hang, state-space blowup, bogus lasso, pool-dependent numbering)
+//! fails or times this run out instead of wedging the test job.
 //!
 //! ```bash
 //! cargo run --release -p tm-bench --example liveness_smoke
@@ -11,17 +14,31 @@
 
 use std::time::Instant;
 
-use tm_bench::{liveness_property_tag, liveness_roster};
+use tm_automata::{Executor, QueryBudget, WorkerPool};
+use tm_bench::{liveness_property_tag, liveness_roster, MAX_STATES};
 use tm_checker::Verifier;
 use tm_lang::LivenessProperty;
 
 fn main() {
     let pool = tm_automata::modelcheck_threads();
     println!("liveness scaling smoke (pool = {pool} threads)");
+    let workers = WorkerPool::new(pool);
+    let budget = QueryBudget::new(MAX_STATES);
     let start = Instant::now();
     let mut checks = 0usize;
     for (n, k) in [(3usize, 1usize), (2, 2)] {
         for case in liveness_roster(n, k) {
+            let inline = case
+                .build_run_graph(&Executor::Sequential, &budget)
+                .expect("smoke graphs are within the bound");
+            let pooled = case
+                .build_run_graph(&Executor::Pool(&workers), &budget)
+                .expect("smoke graphs are within the bound");
+            assert!(
+                inline.0 == pooled.0 && inline.1 == pooled.1,
+                "{} ({n},{k}): the run graph built on {pool} workers differs from the inline build",
+                case.name
+            );
             for property in LivenessProperty::all() {
                 // A fresh session per query: every check builds its own
                 // run graph, as a one-shot caller's would.

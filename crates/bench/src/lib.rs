@@ -12,10 +12,10 @@
 #![warn(missing_docs)]
 
 use tm_algorithms::{
-    most_general_nfa, AggressiveCm, DstmTm, PoliteCm, SequentialTm, Tl2Tm, TmAlgorithm,
-    TwoPhaseTm, ValidationStyle, WithContentionManager,
+    most_general_nfa, AggressiveCm, DstmTm, MostGeneralRunSource, PoliteCm, RunLabel,
+    SequentialTm, Tl2Tm, TmAlgorithm, TwoPhaseTm, ValidationStyle, WithContentionManager,
 };
-use tm_automata::Nfa;
+use tm_automata::{CompiledRunGraph, EngineError, Executor, Nfa, QueryBudget, RunGraphParts};
 use tm_checker::{LivenessVerdict, Verdict, Verifier};
 use tm_lang::{LivenessProperty, SafetyProperty, Statement};
 
@@ -116,7 +116,11 @@ pub struct LivenessCase {
 }
 
 impl LivenessCase {
-    fn new<A: TmAlgorithm + 'static>(tm: A) -> Self {
+    fn new<A>(tm: A) -> Self
+    where
+        A: TmAlgorithm + Sync + 'static,
+        A::State: Send + Sync,
+    {
         LivenessCase {
             name: tm.name(),
             tm: Box::new(tm),
@@ -139,6 +143,22 @@ impl LivenessCase {
     pub fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict {
         self.tm.check_reference(property)
     }
+
+    /// Compiles the case's run graph with [`CompiledRunGraph::build`] on
+    /// `executor`, returning its CSR arrays and the interned TM states in
+    /// id order, rendered with `Debug` (the state type differs per case)
+    /// — what build-determinism checks compare across executors.
+    ///
+    /// # Errors
+    ///
+    /// As for [`CompiledRunGraph::build`].
+    pub fn build_run_graph(
+        &self,
+        executor: &Executor<'_>,
+        budget: &QueryBudget,
+    ) -> Result<(RunGraphParts<RunLabel>, Vec<String>), EngineError> {
+        self.tm.build_run_graph(executor, budget)
+    }
 }
 
 /// Object-safe shim over concrete TM types (the [`TmAlgorithm`] trait has
@@ -146,15 +166,35 @@ impl LivenessCase {
 trait ErasedLiveness {
     fn check_session(&self, verifier: &mut Verifier, property: LivenessProperty) -> Verdict;
     fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict;
+    fn build_run_graph(
+        &self,
+        executor: &Executor<'_>,
+        budget: &QueryBudget,
+    ) -> Result<(RunGraphParts<RunLabel>, Vec<String>), EngineError>;
 }
 
-impl<A: TmAlgorithm> ErasedLiveness for A {
+impl<A> ErasedLiveness for A
+where
+    A: TmAlgorithm + Sync,
+    A::State: Send + Sync,
+{
     fn check_session(&self, verifier: &mut Verifier, property: LivenessProperty) -> Verdict {
         verifier.check_liveness(self, property)
     }
 
     fn check_reference(&self, property: LivenessProperty) -> LivenessVerdict {
         tm_checker::check_liveness_reference(self, property)
+    }
+
+    fn build_run_graph(
+        &self,
+        executor: &Executor<'_>,
+        budget: &QueryBudget,
+    ) -> Result<(RunGraphParts<RunLabel>, Vec<String>), EngineError> {
+        let (graph, states) =
+            CompiledRunGraph::build(&MostGeneralRunSource::new(self), executor, budget)?;
+        let states = states.iter().map(|state| format!("{state:?}")).collect();
+        Ok((graph.to_parts(), states))
     }
 }
 

@@ -152,7 +152,11 @@ impl LivenessVerdict {
 /// // ... but not livelock free.
 /// assert!(!check_liveness(&tm, LivenessProperty::LivelockFreedom).holds());
 /// ```
-pub fn check_liveness<A: TmAlgorithm>(tm: &A, property: LivenessProperty) -> LivenessVerdict {
+pub fn check_liveness<A>(tm: &A, property: LivenessProperty) -> LivenessVerdict
+where
+    A: TmAlgorithm + Sync,
+    A::State: Send + Sync,
+{
     Verifier::new(tm.threads(), tm.vars())
         .max_states(DEFAULT_MAX_STATES)
         .check_liveness(tm, property)

@@ -723,8 +723,9 @@ impl Verifier {
 
     /// Checks a liveness property of `tm` (× its contention manager) on
     /// the most general program. The compiled run graph is built on the
-    /// first query for this TM and cached; subsequent properties are pure
-    /// loop searches over it, fanned out on the session pool.
+    /// first query for this TM, level by level on the session pool, and
+    /// cached; subsequent properties are pure loop searches over it,
+    /// fanned out on the same pool.
     ///
     /// A run-graph state space exceeding the session's bound, an expired
     /// [`Verifier::deadline`], or a cancelled [`Verifier::cancel_token`]
@@ -734,11 +735,11 @@ impl Verifier {
     /// # Panics
     ///
     /// Panics if `tm`'s instance size disagrees with the session's.
-    pub fn check_liveness<A: TmAlgorithm>(
-        &mut self,
-        tm: &A,
-        property: LivenessProperty,
-    ) -> Verdict {
+    pub fn check_liveness<A>(&mut self, tm: &A, property: LivenessProperty) -> Verdict
+    where
+        A: TmAlgorithm + Sync,
+        A::State: Send + Sync,
+    {
         assert_eq!(tm.threads(), self.threads, "thread count mismatch");
         assert_eq!(tm.vars(), self.vars, "variable count mismatch");
         capture_phases(|| self.liveness_query(tm, property))
@@ -746,29 +747,32 @@ impl Verifier {
 
     /// The liveness pipeline behind [`Verifier::check_liveness`] (split
     /// out so the phase capture brackets exactly one query).
-    fn liveness_query<A: TmAlgorithm>(
-        &mut self,
-        tm: &A,
-        property: LivenessProperty,
-    ) -> Verdict {
+    fn liveness_query<A>(&mut self, tm: &A, property: LivenessProperty) -> Verdict
+    where
+        A: TmAlgorithm + Sync,
+        A::State: Send + Sync,
+    {
         let total = Instant::now();
         let budget = self.query_budget();
         let key = tm.name();
         let cached = self.run_graphs.contains_key(&key);
         let mut rebuilds = 0;
+        self.ensure_pool();
         if !cached {
             let build = Instant::now();
             let source = MostGeneralRunSource::new(tm);
-            let (graph, states) = match CompiledRunGraph::build(&source, &budget) {
+            let executor = self.executor();
+            let (graph, states) = match CompiledRunGraph::build(&source, &executor, &budget) {
                 Ok(pair) => pair,
                 Err(error) => {
+                    // Nothing is cached: the next query rebuilds.
                     return abort_verdict(
                         error,
                         QueryStats {
                             states_explored: 0,
                             build_time: build.elapsed(),
                             search_time: Duration::ZERO,
-                            pool_size: 1,
+                            pool_size: executor.threads(),
                             artifact_cached: false,
                             rebuilds: 0,
                             ..QueryStats::default()
@@ -788,7 +792,6 @@ impl Verifier {
             rebuilds = bump_build_history(self.run_graph_history.entry(key.clone()).or_insert(0));
             self.run_graph_rebuilds += rebuilds;
         }
-        self.ensure_pool();
         let queries = property_queries(self.threads, property);
         let artifact = &self.run_graphs[&key];
         let executor = self.executor();
@@ -1196,15 +1199,20 @@ mod tests {
     #[test]
     fn an_aborted_query_reports_partial_stats_and_recovers() {
         // The same session answers normally once the limit is lifted —
-        // an abort must not poison the artifact caches.
-        let mut verifier = Verifier::new(2, 1).pool_size(1).max_states(10);
-        let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
-        let aborted = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
-        assert_eq!(aborted.abort_reason(), Some(EngineError::StateLimit(10)));
-        assert_eq!(aborted.stats.pool_size, 1);
-        let mut verifier = verifier.max_states(1_000_000);
-        let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
-        assert!(verdict.holds());
+        // an abort must not poison the artifact caches. The aborted
+        // build ran on the session pool and reports its width.
+        for pool in [1usize, 4] {
+            let mut verifier = Verifier::new(2, 1).pool_size(pool).max_states(10);
+            let tm = WithContentionManager::new(DstmTm::new(2, 1), AggressiveCm);
+            let aborted = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
+            assert_eq!(aborted.abort_reason(), Some(EngineError::StateLimit(10)));
+            assert_eq!(aborted.stats.pool_size, pool);
+            assert_eq!(verifier.run_graph_builds(), 0, "an aborted build caches nothing");
+            let mut verifier = verifier.max_states(1_000_000);
+            let verdict = verifier.check_liveness(&tm, LivenessProperty::ObstructionFreedom);
+            assert!(verdict.holds());
+            assert_eq!(verifier.run_graph_builds(), 1);
+        }
     }
 
     #[test]

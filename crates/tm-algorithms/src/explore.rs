@@ -231,11 +231,12 @@ impl<A: TmAlgorithm> TransitionSystem for RunLevel<'_, A> {
 ///
 /// ```
 /// use tm_algorithms::{MostGeneralRunSource, SequentialTm};
-/// use tm_automata::{CompiledRunGraph, QueryBudget};
+/// use tm_automata::{CompiledRunGraph, Executor, QueryBudget};
 ///
 /// let tm = SequentialTm::new(2, 1);
 /// let budget = QueryBudget::new(1_000);
-/// let (graph, states) = CompiledRunGraph::build(&MostGeneralRunSource::new(&tm), &budget)
+/// let source = MostGeneralRunSource::new(&tm);
+/// let (graph, states) = CompiledRunGraph::build(&source, &Executor::Sequential, &budget)
 ///     .expect("within the state bound");
 /// assert_eq!(graph.num_states(), states.len());
 /// assert!(graph.num_edges() > 0);
@@ -249,7 +250,10 @@ impl<'a, A: TmAlgorithm> MostGeneralRunSource<'a, A> {
     }
 }
 
-impl<A: TmAlgorithm> tm_automata::RunGraphSource for MostGeneralRunSource<'_, A> {
+impl<A: TmAlgorithm + Sync> tm_automata::RunGraphSource for MostGeneralRunSource<'_, A>
+where
+    A::State: Send + Sync,
+{
     type State = A::State;
     type Label = RunLabel;
 
@@ -366,8 +370,10 @@ mod tests {
         let tm = TwoPhaseTm::new(2, 2);
         let (graph, states) = most_general_run_graph(&tm, 10_000);
         let source = MostGeneralRunSource::new(&tm);
+        let executor = tm_automata::Executor::Sequential;
         let (compiled, compiled_states) =
-            tm_automata::CompiledRunGraph::build(&source, &QueryBudget::new(10_000)).unwrap();
+            tm_automata::CompiledRunGraph::build(&source, &executor, &QueryBudget::new(10_000))
+                .unwrap();
         assert_eq!(states, compiled_states);
         let seed_edges: Vec<(usize, RunLabel, usize)> =
             graph.edges().map(|(f, l, t)| (f, *l, t)).collect();

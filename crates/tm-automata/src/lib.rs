@@ -36,8 +36,9 @@
 //!   construction for liveness lassos ([`LabeledGraph`],
 //!   [`strongly_connected_components`], [`closed_walk_through`]);
 //! * the **compiled liveness engine** ([`CompiledRunGraph`],
-//!   [`RunGraphSource`], `livecheck.rs`): run graphs built on the fly
-//!   into CSR with per-edge class bitmasks, mask-filtered Tarjan in a
+//!   [`RunGraphSource`], `livecheck.rs`): run graphs built on the fly,
+//!   level by level on the pool, into CSR with per-edge class bitmasks,
+//!   mask-filtered Tarjan in a
 //!   reusable [`LiveScratch`] arena, and deterministic parallel fan-out
 //!   of independent loop queries ([`CompiledRunGraph::find_first_loop`]);
 //! * the **persistent worker pool** ([`WorkerPool`]) and the
@@ -94,6 +95,7 @@ mod config;
 mod dfa;
 mod explore;
 pub mod fault;
+mod frontier;
 mod fxhash;
 mod graph;
 mod inclusion;

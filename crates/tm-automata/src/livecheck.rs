@@ -11,12 +11,19 @@
 //! This module is the liveness counterpart of the on-the-fly product
 //! engine in `product.rs`:
 //!
-//! * [`CompiledRunGraph`] explores a [`RunGraphSource`] breadth-first and
-//!   compiles it **directly** into CSR adjacency — `row_start` /
-//!   `edge_target` / `edge_label` arrays — with labels interned to dense
-//!   ids and a precomputed per-edge [`EdgeMask`] recording the label's
-//!   class bits (thread, commit, abort, emits-statement). The labelled
-//!   edge list of the seed path is never built.
+//! * [`CompiledRunGraph::build`] explores a [`RunGraphSource`]
+//!   breadth-first and compiles it **directly** into CSR adjacency —
+//!   `row_start` / `edge_target` / `edge_label` arrays — with labels
+//!   interned to dense ids and a precomputed per-edge [`EdgeMask`]
+//!   recording the label's class bits (thread, commit, abort,
+//!   emits-statement). The labelled edge list of the seed path is never
+//!   built. The BFS is level-synchronous on the frontier core it shares
+//!   with the product engine (`frontier.rs`): a level's states are
+//!   expanded in chunks on the [`Executor`] against a read-only striped
+//!   `state → id` index, unseen successors become candidates, a
+//!   stripe-parallel first-wins merge deduplicates them, and ids are
+//!   handed out in tag order — the FIFO order of a serial BFS, so the
+//!   graph is identical under every executor and pool size.
 //! * [`CompiledRunGraph::sccs_masked`] runs an iterative Tarjan that takes
 //!   an [`EdgeFilter`] (two mask words) instead of a cloned subgraph; all
 //!   scratch state lives in a reusable [`LiveScratch`] arena, so the
@@ -40,12 +47,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use tm_obs::{Phase, PhaseTimer};
 
 use crate::budget::{EngineError, QueryBudget};
+use crate::frontier::{
+    self, hash_of, stripe_of, Buckets, HashIndex, INTERRUPT_STRIDE, STRIPES,
+};
 use crate::fxhash::FxHashMap;
 use crate::pool::Executor;
-
-/// How many units of work (BFS visits during build, Tarjan iterations
-/// during SCC search) pass between deadline/cancellation checks.
-const INTERRUPT_STRIDE: usize = 4096;
 
 /// Maximum thread count (of the checked TM instance, not the worker pool)
 /// representable in an [`EdgeMask`]: thread ids occupy the low bits,
@@ -111,12 +117,14 @@ impl LabelClass {
 /// A lazily explorable run-level transition system: the input of
 /// [`CompiledRunGraph::build`]. Implemented by the TM steppers
 /// (`tm_algorithms::MostGeneralRunSource`) so the run graph is compiled
-/// while it is discovered, without an intermediate edge list.
-pub trait RunGraphSource {
+/// while it is discovered, without an intermediate edge list. The build
+/// steps one BFS level's states concurrently on its executor, hence the
+/// `Sync`/`Send` bounds (those of [`crate::SuccessorSource`]).
+pub trait RunGraphSource: Sync {
     /// Structured state type.
-    type State: Clone + Eq + Hash;
+    type State: Clone + Eq + Hash + Send + Sync;
     /// Edge label type (interned by the builder).
-    type Label: Clone + Eq + Hash;
+    type Label: Clone + Eq + Hash + Send + Sync;
 
     /// The initial state.
     fn initial_state(&self) -> Self::State;
@@ -276,93 +284,351 @@ pub struct RunGraphParts<L> {
     pub edge_mask: Vec<EdgeMask>,
 }
 
-impl<L: Clone + Eq + Hash> CompiledRunGraph<L> {
+impl<L: Clone + Eq + Hash + Send + Sync> CompiledRunGraph<L> {
     /// Explores `source` breadth-first and compiles the reachable run
     /// graph, returning it with the interning table of structured states
-    /// (`states[id]` is the state behind graph node `id`). The budget's
-    /// state bound is checked before every intern, its
-    /// deadline/cancellation every `INTERRUPT_STRIDE` expanded states.
+    /// (`states[id]` is the state behind graph node `id`).
+    ///
+    /// The exploration is level-synchronous on the shared frontier core
+    /// (`frontier.rs`): each level's states are expanded in chunks on
+    /// `executor`, successors missing from the read-only striped
+    /// `state → id` index become tagged candidates, a stripe-parallel
+    /// first-wins merge deduplicates them, and new ids are handed out in
+    /// tag order. That reproduces the FIFO numbering of a serial BFS, so
+    /// node ids, CSR rows, label ids and edge masks — and with them every
+    /// SCC index and lasso — are identical under every executor and pool
+    /// size. [`Executor::Sequential`] runs the same level loop inline.
+    ///
+    /// The budget's state bound fails the build iff more than
+    /// `budget.max_states()` states are reachable, as a serial build
+    /// checking before every intern would; its deadline/cancellation is
+    /// polled once per level and every `INTERRUPT_STRIDE` states within
+    /// an expansion chunk.
     ///
     /// # Errors
     ///
-    /// [`EngineError::StateLimit`], [`EngineError::Deadline`], or
-    /// [`EngineError::Cancelled`] per the budget.
+    /// * [`EngineError::StateLimit`], [`EngineError::Deadline`], or
+    ///   [`EngineError::Cancelled`] per the budget;
+    /// * [`EngineError::TaskPanicked`] — an expansion or merge task
+    ///   panicked;
+    /// * [`EngineError::FaultInjected`] — an armed [`crate::fault`] plan
+    ///   fired at dispatch.
     pub fn build<S: RunGraphSource<Label = L>>(
         source: &S,
+        executor: &Executor<'_>,
         budget: &QueryBudget,
     ) -> Result<(Self, Vec<S::State>), EngineError> {
         let mut span = PhaseTimer::start(Phase::RunGraphBuild);
-        let mut label_ids: FxHashMap<L, u32> = FxHashMap::default();
-        let mut labels: Vec<L> = Vec::new();
-        let mut label_masks: Vec<EdgeMask> = Vec::new();
-
-        let mut state_ids: FxHashMap<S::State, u32> = FxHashMap::default();
-        let mut states: Vec<S::State> = Vec::new();
-        let init = source.initial_state();
-        state_ids.insert(init.clone(), 0);
-        states.push(init);
-
-        let mut row_start: Vec<u32> = vec![0];
-        let mut edge_from: Vec<u32> = Vec::new();
-        let mut edge_target: Vec<u32> = Vec::new();
-        let mut edge_label: Vec<u32> = Vec::new();
-        let mut edge_mask: Vec<EdgeMask> = Vec::new();
-
-        // States are expanded in id (FIFO) order, so CSR rows are emitted
-        // sequentially and the edge arrays need no sorting pass.
-        let mut buf: Vec<(L, S::State)> = Vec::new();
-        let mut head = 0usize;
-        while head < states.len() {
-            if head.is_multiple_of(INTERRUPT_STRIDE) {
-                budget.check_interrupt()?;
-            }
-            buf.clear();
-            source.successors(&states[head], &mut buf);
-            for (label, succ) in buf.drain(..) {
-                let lid = match label_ids.get(&label) {
-                    Some(&id) => id,
-                    None => {
-                        let id = u32::try_from(labels.len()).expect("more than u32::MAX labels");
-                        let mask = source.classify(&label).mask();
-                        label_ids.insert(label.clone(), id);
-                        labels.push(label);
-                        label_masks.push(mask);
-                        id
-                    }
-                };
-                let to = match state_ids.get(&succ) {
-                    Some(&id) => id,
-                    None => {
-                        budget.check_states(states.len())?;
-                        let id =
-                            u32::try_from(states.len()).expect("more than u32::MAX run states");
-                        state_ids.insert(succ.clone(), id);
-                        states.push(succ);
-                        id
-                    }
-                };
-                edge_from.push(head as u32);
-                edge_target.push(to);
-                edge_label.push(lid);
-                edge_mask.push(label_masks[lid as usize]);
-            }
-            row_start.push(u32::try_from(edge_target.len()).expect("more than u32::MAX edges"));
-            head += 1;
+        let mut builder = Builder::new(source);
+        let mut start = 0;
+        while start < builder.states.len() {
+            budget.check_interrupt()?;
+            start = builder.level(start, executor, budget)?;
         }
-        // Rows exist for exactly the discovered states.
-        debug_assert_eq!(row_start.len(), states.len() + 1);
-        span.set_value(states.len() as u64);
-        Ok((
-            CompiledRunGraph {
-                labels,
-                row_start,
-                edge_from,
-                edge_target,
-                edge_label,
-                edge_mask,
+        span.set_value(builder.states.len() as u64);
+        Ok(builder.finish())
+    }
+}
+
+/// A successor missing from the state index when its edge was expanded:
+/// the frontier core's candidate, carrying its hash so no state is
+/// hashed twice.
+struct Fresh<S> {
+    hash: u64,
+    state: S,
+}
+
+/// One expansion chunk's share of a level: its CSR rows with targets and
+/// labels resolved against the read-only tables where possible, plus
+/// what the numbering pass must still fill in.
+struct ChunkRows<S, L> {
+    /// Out-degree of each expanded state, in frontier order.
+    degrees: Vec<u32>,
+    /// Target id per edge; for an edge to a fresh state, that state's
+    /// candidate number in `fresh` until numbering.
+    targets: Vec<u32>,
+    /// Positions in `targets` of the edges to fresh states.
+    fresh_edges: Vec<u32>,
+    /// Label id per edge; 0 for labels not interned yet.
+    labels: Vec<u32>,
+    /// Labels missing from the label table, with their edge positions,
+    /// ascending.
+    new_labels: Vec<(u32, L)>,
+    /// The chunk's distinct fresh states, each at its first occurrence
+    /// in the chunk (so in tag order).
+    fresh: Buckets<Fresh<S>>,
+    /// A budget interrupt observed mid-chunk.
+    error: Option<EngineError>,
+}
+
+impl<S, L> Default for ChunkRows<S, L> {
+    fn default() -> Self {
+        ChunkRows {
+            degrees: Vec::new(),
+            targets: Vec::new(),
+            fresh_edges: Vec::new(),
+            labels: Vec::new(),
+            new_labels: Vec::new(),
+            fresh: Buckets::default(),
+            error: None,
+        }
+    }
+}
+
+impl<S: Eq, L> ChunkRows<S, L> {
+    /// Records an edge to `state`, which the state index does not hold:
+    /// its first occurrence in this chunk becomes a candidate, later ones
+    /// share that candidate's number (`local` indexes the chunk's
+    /// candidates by hash).
+    fn push_fresh(&mut self, local: &mut HashIndex, hash: u64, state: S) {
+        let fresh = &self.fresh;
+        let j = match local.get(hash, |j| fresh.get(j).state == state) {
+            Some(j) => j,
+            None => {
+                let j = self.fresh.push(stripe_of(hash), Fresh { hash, state });
+                local.insert(hash, j);
+                j
+            }
+        };
+        self.fresh_edges.push(self.targets.len() as u32);
+        self.targets.push(j);
+    }
+}
+
+/// The state of a [`CompiledRunGraph::build`] between levels: the
+/// numbered states with their striped index, the interned labels, and
+/// the CSR arrays of every expanded state.
+struct Builder<'s, S: RunGraphSource> {
+    source: &'s S,
+    states: Vec<S::State>,
+    /// `state → id`, striped by [`stripe_of`] of the state's hash.
+    index: Vec<HashIndex>,
+    /// Per-stripe scratch index of one level's merge.
+    level_index: Vec<HashIndex>,
+    label_ids: FxHashMap<S::Label, u32>,
+    labels: Vec<S::Label>,
+    label_masks: Vec<EdgeMask>,
+    row_start: Vec<u32>,
+    edge_from: Vec<u32>,
+    edge_target: Vec<u32>,
+    edge_label: Vec<u32>,
+    edge_mask: Vec<EdgeMask>,
+}
+
+impl<'s, S: RunGraphSource> Builder<'s, S> {
+    fn new(source: &'s S) -> Self {
+        let init = source.initial_state();
+        let mut index: Vec<HashIndex> = (0..STRIPES).map(|_| HashIndex::default()).collect();
+        let hash = hash_of(&init);
+        index[stripe_of(hash)].insert(hash, 0);
+        Builder {
+            source,
+            states: vec![init],
+            index,
+            level_index: (0..STRIPES).map(|_| HashIndex::default()).collect(),
+            label_ids: FxHashMap::default(),
+            labels: Vec::new(),
+            label_masks: Vec::new(),
+            row_start: vec![0],
+            edge_from: Vec::new(),
+            edge_target: Vec::new(),
+            edge_label: Vec::new(),
+            edge_mask: Vec::new(),
+        }
+    }
+
+    /// Expands the level `start..states.len()`, numbers the states it
+    /// discovers and emits its CSR rows; returns the start of the next
+    /// level.
+    fn level(
+        &mut self,
+        start: usize,
+        executor: &Executor<'_>,
+        budget: &QueryBudget,
+    ) -> Result<usize, EngineError> {
+        let end = self.states.len();
+        let (source, states, index, label_ids) =
+            (self.source, &self.states, &self.index, &self.label_ids);
+        let mut chunks = frontier::expand(
+            end - start,
+            executor,
+            Phase::RunGraphBuild,
+            |range, out: &mut ChunkRows<S::State, S::Label>| {
+                expand_chunk(source, states, start, index, label_ids, budget, range, out)
             },
-            states,
-        ))
+        )?;
+        if let Some(error) = chunks.iter_mut().find_map(|chunk| chunk.error.take()) {
+            return Err(error);
+        }
+
+        // Merge: per stripe, the first candidate (in tag order) of each
+        // distinct state wins; `resolution[k]` is the winner index of the
+        // stripe's k-th candidate. Candidates of one chunk are distinct
+        // already, so a lone chunk's merge is the identity.
+        let lone = chunks.len() == 1;
+        let merged = frontier::merge(
+            &mut self.level_index,
+            chunks.iter_mut().map(|chunk| &mut chunk.fresh),
+            executor,
+            Phase::RunGraphBuild,
+            |level, buffers| {
+                if lone {
+                    let winners: Vec<Fresh<S::State>> = buffers.into_iter().flatten().collect();
+                    return ((0..winners.len() as u32).collect(), winners);
+                }
+                let mut winners: Vec<Fresh<S::State>> = Vec::new();
+                let mut resolution = Vec::with_capacity(buffers.iter().map(Vec::len).sum());
+                for candidate in buffers.into_iter().flatten() {
+                    let found =
+                        level.get(candidate.hash, |w| winners[w as usize].state == candidate.state);
+                    resolution.push(found.unwrap_or_else(|| {
+                        let w = winners.len() as u32;
+                        level.insert(candidate.hash, w);
+                        winners.push(candidate);
+                        w
+                    }));
+                }
+                level.clear();
+                (resolution, winners)
+            },
+        )?;
+        let (resolutions, winners): (Vec<Vec<u32>>, Vec<_>) = merged.into_iter().unzip();
+
+        // Number: walking the candidates in tag order meets each winner at
+        // its first occurrence, so numbering winners as they are met hands
+        // out ids in FIFO order. `slot_ids[c][j]` is the id of chunk `c`'s
+        // candidate `j`.
+        let fresh: usize = winners.iter().map(Vec::len).sum();
+        if fresh > 0 {
+            budget.check_states(end + fresh - 1)?;
+        }
+        self.states.reserve(fresh);
+        let mut numbered: Vec<(Vec<u64>, Vec<u32>)> = winners
+            .iter()
+            .map(|w| (Vec::with_capacity(w.len()), Vec::with_capacity(w.len())))
+            .collect();
+        let mut winners: Vec<_> = winners.into_iter().map(Vec::into_iter).collect();
+        let mut slot_ids: Vec<Vec<u32>> = chunks.iter().map(|_| Vec::new()).collect();
+        let states = &mut self.states;
+        frontier::in_tag_order(chunks.iter().map(|chunk| &chunk.fresh), |chunk, stripe, k| {
+            let w = resolutions[stripe][k] as usize;
+            let (hashes, ids) = &mut numbered[stripe];
+            if w == ids.len() {
+                let winner = winners[stripe].next().expect("a winner per first occurrence");
+                hashes.push(winner.hash);
+                ids.push(u32::try_from(states.len()).expect("more than u32::MAX run states"));
+                states.push(winner.state);
+            }
+            slot_ids[chunk].push(ids[w]);
+        });
+        drop((resolutions, winners));
+        frontier::per_stripe(
+            &mut self.index,
+            numbered,
+            fresh,
+            executor,
+            Phase::RunGraphBuild,
+            |index, (hashes, ids)| {
+                for (hash, id) in hashes.into_iter().zip(ids) {
+                    index.insert(hash, id);
+                }
+            },
+        )?;
+
+        // Emit the level's rows in frontier order.
+        let mut from = start as u32;
+        for (mut chunk, slot_ids) in chunks.into_iter().zip(slot_ids) {
+            for &at in &chunk.fresh_edges {
+                let target = &mut chunk.targets[at as usize];
+                *target = slot_ids[*target as usize];
+            }
+            for (at, label) in chunk.new_labels {
+                chunk.labels[at as usize] = self.intern_label(label);
+            }
+            for degree in chunk.degrees {
+                self.edge_from.extend(std::iter::repeat_n(from, degree as usize));
+                from += 1;
+                self.row_start.push(
+                    u32::try_from(self.edge_from.len()).expect("more than u32::MAX edges"),
+                );
+            }
+            self.edge_target.extend_from_slice(&chunk.targets);
+            self.edge_mask
+                .extend(chunk.labels.iter().map(|&l| self.label_masks[l as usize]));
+            self.edge_label.extend_from_slice(&chunk.labels);
+        }
+        Ok(end)
+    }
+
+    fn intern_label(&mut self, label: S::Label) -> u32 {
+        if let Some(&id) = self.label_ids.get(&label) {
+            return id;
+        }
+        let id = u32::try_from(self.labels.len()).expect("more than u32::MAX labels");
+        self.label_masks.push(self.source.classify(&label).mask());
+        self.label_ids.insert(label.clone(), id);
+        self.labels.push(label);
+        id
+    }
+
+    fn finish(self) -> (CompiledRunGraph<S::Label>, Vec<S::State>) {
+        // Rows exist for exactly the discovered states.
+        debug_assert_eq!(self.row_start.len(), self.states.len() + 1);
+        (
+            CompiledRunGraph {
+                labels: self.labels,
+                row_start: self.row_start,
+                edge_from: self.edge_from,
+                edge_target: self.edge_target,
+                edge_label: self.edge_label,
+                edge_mask: self.edge_mask,
+            },
+            self.states,
+        )
+    }
+}
+
+/// Expands the frontier states `range` (frontier indices; state ids are
+/// offset by `start`) into `out`, resolving targets and labels against
+/// the read-only tables of the previous levels.
+#[allow(clippy::too_many_arguments)]
+fn expand_chunk<S: RunGraphSource>(
+    source: &S,
+    states: &[S::State],
+    start: usize,
+    index: &[HashIndex],
+    label_ids: &FxHashMap<S::Label, u32>,
+    budget: &QueryBudget,
+    range: std::ops::Range<usize>,
+    out: &mut ChunkRows<S::State, S::Label>,
+) {
+    let mut successors = Vec::new();
+    let mut local = HashIndex::default();
+    for i in range.clone() {
+        if i > range.start && (i - range.start).is_multiple_of(INTERRUPT_STRIDE) {
+            if let Err(error) = budget.check_interrupt() {
+                out.error = Some(error);
+                return;
+            }
+        }
+        source.successors(&states[start + i], &mut successors);
+        out.degrees.push(successors.len() as u32);
+        for (label, succ) in successors.drain(..) {
+            match label_ids.get(&label) {
+                Some(&id) => out.labels.push(id),
+                None => {
+                    let at =
+                        u32::try_from(out.labels.len()).expect("more than u32::MAX chunk edges");
+                    out.new_labels.push((at, label));
+                    out.labels.push(0);
+                }
+            }
+            let hash = hash_of(&succ);
+            match index[stripe_of(hash)].get(hash, |id| states[id as usize] == succ) {
+                Some(id) => out.targets.push(id),
+                None => out.push_fresh(&mut local, hash, succ),
+            }
+        }
     }
 }
 
@@ -914,6 +1180,11 @@ mod tests {
         }
     }
 
+    /// Builds a hand-made test graph inline under a 100-state bound.
+    fn build_small(source: &VecSource) -> (CompiledRunGraph<TestLabel>, Vec<u32>) {
+        CompiledRunGraph::build(source, &Executor::Sequential, &QueryBudget::new(100)).unwrap()
+    }
+
     /// [`CompiledRunGraph::find_loop`] under an unlimited budget.
     fn find(
         graph: &CompiledRunGraph<TestLabel>,
@@ -969,7 +1240,7 @@ mod tests {
                 vec![(lbl(3, 0), 0)],
             ],
         };
-        let (graph, states) = CompiledRunGraph::build(&source, &QueryBudget::new(100)).unwrap();
+        let (graph, states) = build_small(&source);
         assert_eq!(graph.num_states(), 3);
         assert_eq!(states, vec![0, 1, 2]);
         assert_eq!(graph.num_edges(), 3);
@@ -989,15 +1260,182 @@ mod tests {
             ],
         };
         assert_eq!(
-            CompiledRunGraph::build(&source, &QueryBudget::new(2)).err(),
+            CompiledRunGraph::build(&source, &Executor::Sequential, &QueryBudget::new(2)).err(),
             Some(EngineError::StateLimit(2))
         );
         // An expired deadline is the same structured abort, not a panic.
         let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO);
         assert_eq!(
-            CompiledRunGraph::build(&source, &expired).err(),
+            CompiledRunGraph::build(&source, &Executor::Sequential, &expired).err(),
             Some(EngineError::Deadline)
         );
+    }
+
+    /// A pseudo-random graph over `n` states (out-degree 0–5, forty
+    /// labels over three threads, duplicate edges and self-loops), whose
+    /// BFS levels are wide enough to cross the frontier core's parallel
+    /// threshold.
+    fn wide_source(n: u32, seed: u64) -> VecSource {
+        let mut x = seed;
+        let mut next = move |bound: u32| {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((x >> 33) % u64::from(bound)) as u32
+        };
+        let succ = (0..n)
+            .map(|_| {
+                (0..next(6))
+                    .map(|_| {
+                        let id = next(40) as u8;
+                        let label = if id.is_multiple_of(7) {
+                            abort(id, id % 3)
+                        } else {
+                            lbl(id, id % 3)
+                        };
+                        (label, next(n))
+                    })
+                    .collect()
+            })
+            .collect();
+        VecSource { succ }
+    }
+
+    /// An edge `(from, label, to)` of a reference build.
+    type RefEdge<L> = (u32, L, u32);
+
+    /// The serial FIFO build the engine must reproduce: states numbered
+    /// in discovery order, labels interned in first-use order.
+    fn fifo_reference<S: RunGraphSource>(source: &S) -> (Vec<S::State>, Vec<RefEdge<S::Label>>) {
+        let mut ids: FxHashMap<S::State, u32> = FxHashMap::default();
+        let mut states = vec![source.initial_state()];
+        ids.insert(states[0].clone(), 0);
+        let mut edges = Vec::new();
+        let mut buf = Vec::new();
+        let mut head = 0;
+        while head < states.len() {
+            buf.clear();
+            source.successors(&states[head], &mut buf);
+            for (label, succ) in buf.drain(..) {
+                let to = *ids.entry(succ.clone()).or_insert_with(|| {
+                    states.push(succ);
+                    states.len() as u32 - 1
+                });
+                edges.push((head as u32, label, to));
+            }
+            head += 1;
+        }
+        (states, edges)
+    }
+
+    /// Builds `source` under `executor` and checks the result against
+    /// [`fifo_reference`]: states, edges in enumeration order, labels in
+    /// first-use order, masks and CSR rows.
+    fn assert_fifo_build<S>(source: &S, executor: &Executor<'_>) -> RunGraphParts<S::Label>
+    where
+        S: RunGraphSource,
+        S::State: std::fmt::Debug,
+        S::Label: std::fmt::Debug,
+    {
+        let (graph, states) =
+            CompiledRunGraph::build(source, executor, &QueryBudget::unlimited()).unwrap();
+        let (expected_states, expected_edges) = fifo_reference(source);
+        assert_eq!(states, expected_states, "{executor:?}: state numbering");
+        let edges: Vec<RefEdge<S::Label>> = graph
+            .edges()
+            .map(|(from, label, to)| (from as u32, label.clone(), to as u32))
+            .collect();
+        assert_eq!(edges, expected_edges, "{executor:?}: edge enumeration");
+        let mut first_use: Vec<S::Label> = Vec::new();
+        for (_, label, _) in &expected_edges {
+            if !first_use.contains(label) {
+                first_use.push(label.clone());
+            }
+        }
+        let parts = graph.to_parts();
+        assert_eq!(parts.labels, first_use, "{executor:?}: label ids");
+        for (e, (_, label, _)) in expected_edges.iter().enumerate() {
+            assert_eq!(parts.edge_mask[e], source.classify(label).mask());
+        }
+        // The arrays pass the store's structural verification.
+        assert!(CompiledRunGraph::from_parts(parts.clone()).is_ok());
+        parts
+    }
+
+    #[test]
+    fn build_numbers_states_in_fifo_order_under_every_executor() {
+        let pools: Vec<crate::WorkerPool> = [2, 3, 8].map(crate::WorkerPool::new).into();
+        for seed in 0..4 {
+            let source = wide_source(4000, seed);
+            let sequential = assert_fifo_build(&source, &Executor::Sequential);
+            assert!(
+                sequential.row_start.len() > 2_000,
+                "seed {seed}: the graph must be wide enough to dispatch"
+            );
+            for pool in &pools {
+                assert_eq!(assert_fifo_build(&source, &Executor::Pool(pool)), sequential);
+            }
+        }
+    }
+
+    #[test]
+    fn build_tells_apart_states_with_equal_hashes() {
+        /// A state whose hash keeps only its residue mod 3: every index
+        /// lookup meets colliding entries and must compare states.
+        #[derive(Clone, PartialEq, Eq, Debug)]
+        struct Weak(u32);
+        impl Hash for Weak {
+            fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+                (self.0 % 3).hash(state);
+            }
+        }
+        struct WeakSource(VecSource);
+        impl RunGraphSource for WeakSource {
+            type State = Weak;
+            type Label = TestLabel;
+            fn initial_state(&self) -> Weak {
+                Weak(0)
+            }
+            fn successors(&self, state: &Weak, out: &mut Vec<(TestLabel, Weak)>) {
+                out.extend(self.0.succ[state.0 as usize].iter().map(|&(l, t)| (l, Weak(t))));
+            }
+            fn classify(&self, label: &TestLabel) -> LabelClass {
+                self.0.classify(label)
+            }
+        }
+        let source = WeakSource(wide_source(1500, 11));
+        let sequential = assert_fifo_build(&source, &Executor::Sequential);
+        let pool = crate::WorkerPool::new(3);
+        assert_eq!(assert_fifo_build(&source, &Executor::Pool(&pool)), sequential);
+    }
+
+    #[test]
+    fn pool_build_aborts_like_the_sequential_build() {
+        let source = wide_source(4000, 5);
+        let (graph, _) =
+            CompiledRunGraph::build(&source, &Executor::Sequential, &QueryBudget::unlimited())
+                .unwrap();
+        let n = graph.num_states();
+        let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO);
+        let token = crate::CancelToken::new();
+        token.cancel();
+        let cancelled = QueryBudget::unlimited().with_cancel(token);
+        let pool = crate::WorkerPool::new(4);
+        for executor in [Executor::Sequential, Executor::Pool(&pool)] {
+            let states_at = |bound: usize| {
+                CompiledRunGraph::build(&source, &executor, &QueryBudget::new(bound))
+                    .map(|(graph, _)| graph.num_states())
+            };
+            // The bound is exact: n reachable states fit a bound of n, not
+            // of n - 1.
+            assert_eq!(states_at(n), Ok(n), "{executor:?}");
+            assert_eq!(states_at(n - 1), Err(EngineError::StateLimit(n - 1)), "{executor:?}");
+            let abort = |budget: &QueryBudget| {
+                CompiledRunGraph::build(&source, &executor, budget).err()
+            };
+            assert_eq!(abort(&expired), Some(EngineError::Deadline), "{executor:?}");
+            assert_eq!(abort(&cancelled), Some(EngineError::Cancelled), "{executor:?}");
+        }
     }
 
     #[test]
@@ -1011,7 +1449,7 @@ mod tests {
                 vec![(lbl(4, 1), 2)],
             ],
         };
-        let (graph, _) = CompiledRunGraph::build(&source, &QueryBudget::new(100)).unwrap();
+        let (graph, _) = build_small(&source);
         let mut scratch = LiveScratch::default();
         for filter in [
             KEEP_ALL,
@@ -1052,7 +1490,7 @@ mod tests {
                 vec![(lbl(2, 0), 1)],
             ],
         };
-        let (graph, _) = CompiledRunGraph::build(&source, &QueryBudget::new(100)).unwrap();
+        let (graph, _) = build_small(&source);
         let query = LoopQuery {
             filter: EdgeFilter {
                 keep_any: 1 << 0,
@@ -1082,7 +1520,7 @@ mod tests {
                 vec![(commit(1, 0), 0), (abort(2, 0), 0)],
             ],
         };
-        let (graph, _) = CompiledRunGraph::build(&source, &QueryBudget::new(100)).unwrap();
+        let (graph, _) = build_small(&source);
         let mut scratch = LiveScratch::default();
         // With commits forbidden the abort loop remains.
         let with_aborts = LoopQuery {
@@ -1116,7 +1554,7 @@ mod tests {
                 vec![(abort(2, 1), 1)],
             ],
         };
-        let (graph, _) = CompiledRunGraph::build(&source, &QueryBudget::new(100)).unwrap();
+        let (graph, _) = build_small(&source);
         let mut scratch = LiveScratch::default();
         let both = LoopQuery {
             filter: EdgeFilter {
@@ -1155,7 +1593,7 @@ mod tests {
                 vec![(lbl(2, 1), 1), (abort(3, 2), 1)],
             ],
         };
-        let (graph, _) = CompiledRunGraph::build(&source, &QueryBudget::new(100)).unwrap();
+        let (graph, _) = build_small(&source);
         let query_for = |t: u16| LoopQuery {
             filter: EdgeFilter {
                 keep_any: 1 << t,
@@ -1220,14 +1658,14 @@ mod tests {
         let small = VecSource {
             succ: vec![vec![(lbl(0, 0), 1)], vec![(lbl(1, 1), 0)]],
         };
-        let (small_graph, _) = CompiledRunGraph::build(&small, &QueryBudget::new(100)).unwrap();
+        let (small_graph, _) = build_small(&small);
         assert!(small_graph.heap_bytes() >= floor(&small_graph));
         let big = VecSource {
             succ: (0..64u32)
                 .map(|i| vec![(lbl((i % 8) as u8, 0), (i + 1) % 64)])
                 .collect(),
         };
-        let (big_graph, _) = CompiledRunGraph::build(&big, &QueryBudget::new(100)).unwrap();
+        let (big_graph, _) = build_small(&big);
         assert!(big_graph.heap_bytes() >= floor(&big_graph));
         // A strictly larger graph is charged strictly more.
         assert!(big_graph.heap_bytes() > small_graph.heap_bytes());

@@ -21,19 +21,20 @@
 //!   `check_inclusion_compiled` — identical verdicts, identical shortest
 //!   counterexample words, identical `product_states`.
 //! * **Parallel** ([`Executor::Pool`] of two or more workers): a
-//!   level-synchronous BFS. Each frontier is sharded across the
-//!   persistent [`crate::WorkerPool`]; workers expand their chunks into
-//!   per-`(chunk, stripe)` successor buffers against a read-only striped
-//!   visited table (keyed by [`crate::FxHasher`] over packed
+//!   level-synchronous BFS on the frontier core shared with the
+//!   run-graph build (`frontier.rs`). Each frontier is cut into chunks on
+//!   the persistent [`crate::WorkerPool`]; workers expand their chunks
+//!   into per-`(chunk, stripe)` candidate buffers against a read-only
+//!   striped visited table (striped by [`crate::FxHasher`] over packed
 //!   `(impl, spec)` ids), and a dedup merge between levels — stripes
-//!   processed in parallel, candidates consumed in discovery-tag order —
-//!   builds the next frontier. Because every candidate carries its
-//!   `(parent index, edge index)` tag and merges resolve ties by minimal
-//!   tag, the explored set, the verdict, **and the counterexample word**
-//!   are independent of the pool size (the word matches the sequential
-//!   engine's; only `product_states` of a violating run may differ, since
-//!   the parallel engine finishes the violating level instead of stopping
-//!   mid-edge-list).
+//!   processed in parallel, candidates consumed in discovery-tag order,
+//!   first occurrence wins — builds the next frontier in tag order.
+//!   Because every candidate's `(parent index, edge index)` tag fixes its
+//!   place, the explored set, the verdict, **and the counterexample
+//!   word** are independent of the pool size (the word matches the
+//!   sequential engine's; only `product_states` of a violating run may
+//!   differ, since the parallel engine finishes the violating level
+//!   instead of stopping mid-edge-list).
 //!
 //! [`check_inclusion_otf_cached`] runs the sequential engine against a
 //! lazily interned specification ([`SpecCache`]) instead of a compiled
@@ -54,14 +55,12 @@ use tm_obs::{Histogram, Phase, PhaseTimer, Unit};
 use crate::alphabet::{Alphabet, LetterId};
 use crate::budget::{EngineError, QueryBudget};
 use crate::compiled::{CompiledDfa, CompiledNfa, EPSILON, NO_STATE};
+use crate::frontier::{
+    self, hash_of, stripe_of, tag, tag_index, Buckets, INTERRUPT_STRIDE, STRIPES,
+};
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::inclusion::InclusionResult;
 use crate::pool::Executor;
-
-/// How many sequential BFS visits pass between deadline/cancellation
-/// checks (the parallel engine checks per level instead, which is
-/// naturally coarse).
-const INTERRUPT_STRIDE: usize = 4096;
 
 /// A lazily explorable implementation transition system: the input side
 /// of [`check_inclusion_otf`].
@@ -772,19 +771,8 @@ fn reconstruct_queue<S: SuccessorSource>(
     word
 }
 
-/// Number of stripes of the parallel visited table. A power of two well
-/// above any sane thread count, so merge workers rarely share a cache
-/// line and the stripe of a pair is a mask away from its hash.
-const STRIPES: usize = 64;
-
-/// Frontiers and per-level work lists smaller than this are processed
-/// inline: three thread scopes per BFS level cost more than they save on
-/// narrow levels.
-const PAR_THRESHOLD: usize = 256;
-
-/// A successor candidate produced by the generation phase: the discovery
-/// tag `(parent frontier index << 32) | edge index` orders candidates
-/// exactly as the sequential FIFO BFS would discover them.
+/// A successor candidate produced by the generation phase, tagged with
+/// its discovery position ([`frontier::tag`]).
 #[derive(Clone, Copy)]
 struct Candidate {
     tag: u64,
@@ -797,26 +785,20 @@ struct Candidate {
 #[derive(Default)]
 struct ChunkOut {
     /// Candidates bucketed by visited-table stripe, in tag order.
-    stripes: Vec<Vec<Candidate>>,
+    candidates: Buckets<Candidate>,
     /// The minimal-tag violation seen in this chunk, if any.
     violation: Option<(u64, LetterId)>,
 }
 
+/// The visited-table stripe of a packed product pair.
 #[inline]
-fn stripe_of(key: u64) -> usize {
-    // Take the *high* bits of the hash: the stripe sets are themselves
-    // FxHash tables probing on the low bits of this same hash, so a
-    // low-bit stripe index would make every key within a stripe collide
-    // on its probe-start bucket. FxHash's final multiply mixes the high
-    // bits best anyway.
-    use std::hash::Hasher;
-    let mut hasher = crate::fxhash::FxHasher::default();
-    hasher.write_u64(key);
-    (hasher.finish() >> (64 - STRIPES.trailing_zeros())) as usize
+fn stripe_of_pair(key: u64) -> usize {
+    stripe_of(hash_of(&key))
 }
 
-/// The parallel engine: deterministic level-synchronous BFS (see module
-/// docs). Results are independent of the executor and its width.
+/// The parallel engine: deterministic level-synchronous BFS on the
+/// shared frontier core (see module docs). Results are independent of
+/// the executor and its width.
 fn parallel<S: SuccessorSource, M: Sync>(
     source: &S,
     spec: &CompiledDfa<M>,
@@ -835,7 +817,7 @@ fn parallel<S: SuccessorSource, M: Sync>(
     for state in inits {
         let qi = ex.intern(state)?;
         let key = pack(qi, spec0);
-        if visited[stripe_of(key)].insert(key) {
+        if visited[stripe_of_pair(key)].insert(key) {
             frontier.push((qi, spec0));
         }
     }
@@ -869,7 +851,7 @@ fn parallel<S: SuccessorSource, M: Sync>(
             .filter_map(|c| c.violation)
             .min_by_key(|&(tag, _)| tag);
         if let Some((tag, letter)) = violation {
-            let word = reconstruct_levels(source, &parents, (tag >> 32) as u32, letter);
+            let word = reconstruct_levels(source, &parents, tag_index(tag), letter);
             return Ok((
                 InclusionResult::Counterexample {
                     word,
@@ -882,21 +864,35 @@ fn parallel<S: SuccessorSource, M: Sync>(
             ));
         }
 
-        // Phase 3: dedup merge, stripe-parallel, candidates consumed in
-        // tag order (chunk ranges are ascending, buffers are in-order).
+        // Phase 3: dedup merge, stripe-parallel, first occurrence in tag
+        // order wins; the winners, in tag order, are the next frontier.
         let mut merge_span = PhaseTimer::start(Phase::DedupMerge);
-        let nodes = merge_level(&mut visited, &mut chunk_outs, executor)?;
-        merge_span.set_value(nodes.len() as u64);
+        let merged = frontier::merge(
+            &mut visited,
+            chunk_outs.iter_mut().map(|c| &mut c.candidates),
+            executor,
+            Phase::DedupMerge,
+            |set, buffers| {
+                buffers
+                    .into_iter()
+                    .flatten()
+                    .map(|cand| set.insert(pack(cand.target, cand.spec)).then_some(cand))
+                    .collect::<Vec<_>>()
+            },
+        )?;
+        frontier.clear();
+        let mut level_parents = Vec::new();
+        frontier::in_tag_order(chunk_outs.iter().map(|c| &c.candidates), |_, stripe, k| {
+            if let Some(node) = merged[stripe][k] {
+                frontier.push((node.target, node.spec));
+                level_parents.push((tag_index(node.tag), node.letter));
+            }
+        });
+        merge_span.set_value(frontier.len() as u64);
         merge_span.stop();
 
-        frontier.clear();
-        let mut level_parents = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            frontier.push((node.target, node.spec));
-            level_parents.push(((node.tag >> 32) as u32, node.letter));
-        }
         parents.push(level_parents);
-        total += nodes.len();
+        total += frontier.len();
         if !frontier.is_empty() {
             // Matches the sequential engine's count: a final expansion
             // that discovers nothing is not a new level.
@@ -932,27 +928,20 @@ fn ensure_rows<S: SuccessorSource>(
     if missing.is_empty() {
         return Ok(());
     }
-    let threads = executor.threads();
-    let mut generated: Vec<Vec<(LetterId, S::State)>> = vec![Vec::new(); missing.len()];
-    if missing.len() < PAR_THRESHOLD || threads <= 1 {
-        for (slot, &qi) in generated.iter_mut().zip(&missing) {
-            ex.source.successors(&ex.states[qi as usize], slot);
-        }
-    } else {
-        let chunk = missing.len().div_ceil(threads);
-        let source = ex.source;
-        let states = &ex.states;
-        executor.try_scope(|scope| {
-            for (slots, ids) in generated.chunks_mut(chunk).zip(missing.chunks(chunk)) {
-                scope.spawn(move || {
-                    for (slot, &qi) in slots.iter_mut().zip(ids) {
-                        source.successors(&states[qi as usize], slot);
-                    }
-                });
+    let (source, states) = (ex.source, &ex.states);
+    let generated = frontier::expand(
+        missing.len(),
+        executor,
+        Phase::BfsLevel,
+        |range, rows: &mut Vec<Vec<(LetterId, S::State)>>| {
+            for &qi in &missing[range] {
+                let mut row = Vec::new();
+                source.successors(&states[qi as usize], &mut row);
+                rows.push(row);
             }
-        })?;
-    }
-    for (qi, row) in missing.into_iter().zip(generated) {
+        },
+    )?;
+    for (qi, row) in missing.into_iter().zip(generated.into_iter().flatten()) {
         ex.store_row(qi, row)?;
     }
     Ok(())
@@ -969,25 +958,18 @@ fn expand_frontier<S: SuccessorSource, M: Sync>(
     frontier: &[(u32, u32)],
     executor: &Executor<'_>,
 ) -> Result<Vec<ChunkOut>, EngineError> {
-    let threads = executor.threads();
-    let chunk = frontier.len().div_ceil(threads).max(1);
-    let starts: Vec<usize> = (0..frontier.len()).step_by(chunk).collect();
-    let mut outs: Vec<ChunkOut> = (0..starts.len()).map(|_| ChunkOut::default()).collect();
     // Cross-worker early exit: the minimal violation tag seen so far.
     // Nodes whose tags can only exceed it cannot improve the result.
     let min_violation = AtomicU64::new(u64::MAX);
-
-    let expand_chunk = |out: &mut ChunkOut, start: usize| {
-        out.stripes = (0..STRIPES).map(|_| Vec::new()).collect();
-        let end = (start + chunk).min(frontier.len());
-        for (offset, &(qi, qs)) in frontier[start..end].iter().enumerate() {
-            let index = (start + offset) as u64;
-            if min_violation.load(Ordering::Relaxed) < index << 32 {
+    frontier::expand(frontier.len(), executor, Phase::BfsLevel, |range, out: &mut ChunkOut| {
+        for index in range {
+            if min_violation.load(Ordering::Relaxed) < tag(index, 0) {
                 break; // a shallower violation already wins
             }
+            let (qi, qs) = frontier[index];
             let row = ex.rows[qi as usize].as_deref().expect("rows ensured");
             for (edge, &(letter, target)) in row.iter().enumerate() {
-                let tag = index << 32 | edge as u64;
+                let tag = tag(index, edge);
                 let qs2 = if letter == EPSILON {
                     qs
                 } else if letter < spec_letters {
@@ -1003,35 +985,24 @@ fn expand_frontier<S: SuccessorSource, M: Sync>(
                     break;
                 };
                 let key = pack(target, qs2);
-                let stripe = stripe_of(key);
+                let stripe = stripe_of_pair(key);
                 if !visited[stripe].contains(&key) {
-                    out.stripes[stripe].push(Candidate {
-                        tag,
-                        target,
-                        spec: qs2,
-                        letter,
-                    });
+                    out.candidates.push(
+                        stripe,
+                        Candidate {
+                            tag,
+                            target,
+                            spec: qs2,
+                            letter,
+                        },
+                    );
                 }
             }
             if out.violation.is_some() {
                 break; // later nodes of this chunk only have larger tags
             }
         }
-    };
-
-    if frontier.len() < PAR_THRESHOLD || threads <= 1 {
-        for (out, &start) in outs.iter_mut().zip(&starts) {
-            expand_chunk(out, start);
-        }
-    } else {
-        let expand_chunk = &expand_chunk;
-        executor.try_scope(|scope| {
-            for (out, &start) in outs.iter_mut().zip(&starts) {
-                scope.spawn(move || expand_chunk(out, start));
-            }
-        })?;
-    }
-    Ok(outs)
+    })
 }
 
 fn record_violation(out: &mut ChunkOut, min_violation: &AtomicU64, tag: u64, letter: LetterId) {
@@ -1039,64 +1010,6 @@ fn record_violation(out: &mut ChunkOut, min_violation: &AtomicU64, tag: u64, let
         out.violation = Some((tag, letter));
         min_violation.fetch_min(tag, Ordering::Relaxed);
     }
-}
-
-/// Dedup merge between levels: inserts candidates into the striped
-/// visited table (stripes processed in parallel, candidates in tag order,
-/// first occurrence wins) and returns the accepted nodes sorted by tag —
-/// the next frontier in sequential discovery order.
-fn merge_level(
-    visited: &mut [FxHashSet<u64>],
-    chunk_outs: &mut [ChunkOut],
-    executor: &Executor<'_>,
-) -> Result<Vec<Candidate>, EngineError> {
-    let threads = executor.threads();
-    // Regroup buffers by stripe (pointer moves only).
-    let mut by_stripe: Vec<Vec<Vec<Candidate>>> = (0..STRIPES).map(|_| Vec::new()).collect();
-    for out in chunk_outs.iter_mut() {
-        for (stripe, buf) in out.stripes.drain(..).enumerate() {
-            if !buf.is_empty() {
-                by_stripe[stripe].push(buf);
-            }
-        }
-    }
-    let candidates: usize = by_stripe
-        .iter()
-        .flat_map(|bufs| bufs.iter().map(Vec::len))
-        .sum();
-    let mut accepted: Vec<Vec<Candidate>> = (0..STRIPES).map(|_| Vec::new()).collect();
-    let merge_stripe = |set: &mut FxHashSet<u64>, bufs: &mut Vec<Vec<Candidate>>, out: &mut Vec<Candidate>| {
-        for buf in bufs.drain(..) {
-            for cand in buf {
-                if set.insert(pack(cand.target, cand.spec)) {
-                    out.push(cand);
-                }
-            }
-        }
-    };
-    if candidates < PAR_THRESHOLD || threads <= 1 {
-        for ((set, bufs), out) in visited.iter_mut().zip(&mut by_stripe).zip(&mut accepted) {
-            merge_stripe(set, bufs, out);
-        }
-    } else {
-        let per = STRIPES.div_ceil(threads);
-        executor.try_scope(|scope| {
-            for ((sets, bufs), outs) in visited
-                .chunks_mut(per)
-                .zip(by_stripe.chunks_mut(per))
-                .zip(accepted.chunks_mut(per))
-            {
-                scope.spawn(move || {
-                    for ((set, buf), out) in sets.iter_mut().zip(bufs).zip(outs) {
-                        merge_stripe(set, buf, out);
-                    }
-                });
-            }
-        })?;
-    }
-    let mut nodes: Vec<Candidate> = accepted.into_iter().flatten().collect();
-    nodes.sort_unstable_by_key(|c| c.tag);
-    Ok(nodes)
 }
 
 /// Reconstructs a violating word along per-level parent arrays (parallel

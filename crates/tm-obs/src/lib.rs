@@ -61,9 +61,9 @@ pub use registry::{
     DEFAULT_SERIES_CAP, HISTOGRAM_BUCKETS,
 };
 pub use profile::{
-    collect_profile, profile_snapshot, register_thread, sampler_running, start_sampler,
-    stop_sampler, task_frame, ProfileSnapshot, TaskFrame, ThreadKind, ThreadRegistration,
-    PROFILE_MAX_DEPTH, SAMPLE_PERIOD_MICROS,
+    collect_profile, phase_frame, profile_snapshot, register_thread, sampler_running,
+    start_sampler, stop_sampler, task_frame, ProfileFrame, ProfileSnapshot, ThreadKind,
+    ThreadRegistration, PROFILE_MAX_DEPTH, SAMPLE_PERIOD_MICROS,
 };
 pub use text::{parse_prometheus, Exposition, Sample};
 pub use trace::{

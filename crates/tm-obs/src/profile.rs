@@ -7,9 +7,10 @@
 //! [`register_thread`] and publishes its current activity into a small
 //! fixed-depth stack of atomic frames. Publication piggybacks on the
 //! instrumentation that already exists — every [`crate::PhaseTimer`]
-//! pushes its [`Phase`] on construction and pops it on drop, and pool
-//! workers wrap each job in a [`task_frame`] — so a profiled thread's
-//! stack reads like `worker-3: task / run_graph_build`.
+//! pushes its [`Phase`] on construction and pops it on drop, pool
+//! workers wrap each job in a [`task_frame`], and a task doing one share
+//! of a phase timed elsewhere names it with a [`phase_frame`] — so a
+//! profiled thread's stack reads like `worker-3: task / run_graph_build`.
 //!
 //! The opt-in sampler thread ([`start_sampler`]) wakes every
 //! [`SAMPLE_PERIOD_MICROS`] and, per tick:
@@ -250,25 +251,37 @@ pub(crate) fn pop_phase() {
     pop_frame();
 }
 
-/// Marks the calling thread busy on a task for the guard's lifetime —
-/// pool workers wrap each dequeued job in one, which is what makes a
-/// worker's sample read `busy` (and feeds `tm_parallelism`) even between
-/// finer-grained phase spans. No-op without a registered slot or with
-/// `TM_OBS=off`.
-#[must_use = "the task frame is published only while the guard lives"]
+/// A profiler frame published on the calling thread for the guard's
+/// lifetime, with no timing attached ([`task_frame`], [`phase_frame`]).
+/// No-op without a registered slot or with `TM_OBS=off`.
+#[must_use = "the frame is published only while the guard lives"]
 #[derive(Debug)]
-pub struct TaskFrame {
+pub struct ProfileFrame {
     pushed: bool,
 }
 
-/// Publishes a [`TaskFrame`] on the calling thread.
-pub fn task_frame() -> TaskFrame {
-    TaskFrame {
+/// Marks the calling thread busy on a task — pool workers wrap each
+/// dequeued job in one, which is what makes a worker's sample read
+/// `busy` (and feeds `tm_parallelism`) even between finer-grained phase
+/// spans.
+pub fn task_frame() -> ProfileFrame {
+    ProfileFrame {
         pushed: obs_enabled() && push_frame(FRAME_TASK),
     }
 }
 
-impl Drop for TaskFrame {
+/// Publishes `phase` as the calling thread's current frame without
+/// recording a span: a pool task doing one share of a phase whose single
+/// [`crate::PhaseTimer`] runs on the coordinating thread folds as
+/// `worker-N;task;<phase>` while `tm_phase_seconds` still gets one
+/// observation per phase.
+pub fn phase_frame(phase: Phase) -> ProfileFrame {
+    ProfileFrame {
+        pushed: obs_enabled() && push_phase(phase),
+    }
+}
+
+impl Drop for ProfileFrame {
     fn drop(&mut self) {
         if self.pushed {
             pop_frame();
@@ -486,6 +499,18 @@ mod tests {
                 );
             });
         }
+        {
+            let _task = task_frame();
+            let _frame = phase_frame(Phase::RunGraphBuild);
+            CURRENT.with(|cell| {
+                let borrow = cell.borrow();
+                let slot = borrow.as_ref().expect("registered");
+                assert_eq!(
+                    frame_name(slot.frames[1].load(Ordering::Relaxed)),
+                    "run_graph_build"
+                );
+            });
+        }
         CURRENT.with(|cell| {
             let borrow = cell.borrow();
             assert_eq!(borrow.as_ref().unwrap().depth.load(Ordering::Relaxed), 0);
@@ -497,7 +522,7 @@ mod tests {
         let _guard = profile_lock();
         crate::set_obs_enabled(true);
         let _registration = register_thread(ThreadKind::Session);
-        let frames: Vec<TaskFrame> = (0..PROFILE_MAX_DEPTH + 3).map(|_| task_frame()).collect();
+        let frames: Vec<ProfileFrame> = (0..PROFILE_MAX_DEPTH + 3).map(|_| task_frame()).collect();
         CURRENT.with(|cell| {
             let borrow = cell.borrow();
             let slot = borrow.as_ref().unwrap();

@@ -9,17 +9,53 @@
 //! A seeded random-graph fuzz additionally pins the engine's mask-filtered
 //! Tarjan to the reference cloned-subgraph SCC decomposition on
 //! adversarial shapes, component indices included.
+//!
+//! The run-graph build itself must be pool-size independent too: node
+//! numbering, edges, labels and masks are identical under
+//! `Executor::Sequential` and every pool, and budget aborts and injected
+//! dispatch faults come back as structured errors under a pool.
+
+use std::sync::{Mutex, MutexGuard};
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use tm_bench::{liveness_roster, LivenessCase};
+use tm_modelcheck::automata::fault::{clear_fault, install_fault, FaultPlan};
 use tm_modelcheck::automata::{
-    strongly_connected_components, CompiledRunGraph, EdgeFilter, Executor, LabelClass,
-    LabeledGraph, LiveScratch, LoopQuery, LoopSelection, QueryBudget, RunGraphSource, WorkerPool,
-    MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
+    strongly_connected_components, CompiledRunGraph, EdgeFilter, EngineError, Executor,
+    LabelClass, LabeledGraph, LiveScratch, LoopQuery, LoopSelection, QueryBudget,
+    RunGraphSource, WorkerPool, MASK_ABORT, MASK_ALL_THREADS, MASK_COMMIT,
 };
 use tm_modelcheck::checker::{LivenessVerdict, Verifier};
 use tm_modelcheck::lang::LivenessProperty;
+
+/// Serializes the tests that dispatch on worker pools: fault plans are
+/// process-global, and [`random_query_fanout_is_pool_size_independent`]
+/// arms one on the `dispatch` site.
+fn pool_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Asserts that `case`'s run graph — CSR arrays and interned states —
+/// is identical under `Executor::Sequential` and pools of 2 and 4.
+fn assert_build_is_pool_size_independent(case: &LivenessCase, (n, k): (usize, usize)) {
+    let budget = QueryBudget::new(tm_bench::MAX_STATES);
+    let expected = case
+        .build_run_graph(&Executor::Sequential, &budget)
+        .expect("roster graphs are within the bound");
+    for size in [2usize, 4] {
+        let pool = WorkerPool::new(size);
+        let got = case
+            .build_run_graph(&Executor::Pool(&pool), &budget)
+            .expect("roster graphs are within the bound");
+        assert!(
+            got == expected,
+            "{} ({n},{k}): run graph differs at pool {size}",
+            case.name
+        );
+    }
+}
 
 /// One cold engine check of an `(n, k)` roster case: a fresh session with
 /// a pool of `pool` workers, so the run graph is built for this query
@@ -64,9 +100,17 @@ fn assert_conforms(engine: &LivenessVerdict, reference: &LivenessVerdict, contex
 
 /// All Table 3 TM × manager × property combinations at (2, 1): the engine
 /// agrees with the seed reference at pool sizes 1 and 4, and every
-/// violation is confirmed by the word-level property oracle.
+/// violation is confirmed by the word-level property oracle. Every
+/// TM × manager run graph at (2, 1), (3, 1) and (2, 2) builds
+/// identically under the sequential executor and pools of 2 and 4.
 #[test]
 fn table3_engine_matches_reference_at_every_pool_size() {
+    let _lock = pool_lock();
+    for size in [(2, 1), (3, 1), (2, 2)] {
+        for case in liveness_roster(size.0, size.1) {
+            assert_build_is_pool_size_independent(&case, size);
+        }
+    }
     for case in liveness_roster(2, 1) {
         for property in LivenessProperty::all() {
             let reference = case.check_reference(property);
@@ -94,6 +138,7 @@ fn table3_engine_matches_reference_at_every_pool_size() {
 /// (2, 1) TM × manager roster.
 #[test]
 fn session_reuse_matches_one_shot_at_every_pool_size() {
+    let _lock = pool_lock();
     for pool in [1usize, 4] {
         for case in liveness_roster(2, 1) {
             let mut verifier = Verifier::new(2, 1).pool_size(pool);
@@ -122,6 +167,7 @@ fn session_reuse_matches_one_shot_at_every_pool_size() {
 /// engine to it here too.
 #[test]
 fn three_thread_instance_matches_reference() {
+    let _lock = pool_lock();
     for case in liveness_roster(3, 1) {
         for property in LivenessProperty::all() {
             let reference = case.check_reference(property);
@@ -178,8 +224,14 @@ impl RunGraphSource for FuzzSource {
 
 fn random_source(rng: &mut StdRng) -> FuzzSource {
     let states = 1 + rng.gen_range(0..12);
-    let mut succ: Vec<Vec<(FuzzLabel, u32)>> = (0..states).map(|_| Vec::new()).collect();
     let edges = rng.gen_range(0..40);
+    random_source_sized(rng, states, edges)
+}
+
+/// A random graph of `states` states and `edges` edges (label ids wrap
+/// at `u16::MAX`).
+fn random_source_sized(rng: &mut StdRng, states: usize, edges: usize) -> FuzzSource {
+    let mut succ: Vec<Vec<(FuzzLabel, u32)>> = (0..states).map(|_| Vec::new()).collect();
     for id in 0..edges {
         let from = rng.gen_range(0..states);
         let to = rng.gen_range(0..states) as u32;
@@ -208,8 +260,9 @@ fn masked_tarjan_matches_cloned_subgraph_reference_on_random_graphs() {
     for seed in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(0x5cc0_0000 + seed);
         let source = random_source(&mut rng);
-        let (graph, _) = CompiledRunGraph::build(&source, &QueryBudget::new(10_000))
-            .expect("fuzz graph in bounds");
+        let (graph, _) =
+            CompiledRunGraph::build(&source, &Executor::Sequential, &QueryBudget::new(10_000))
+                .expect("fuzz graph in bounds");
         // Materialize the engine's reachable subgraph once, then compare
         // decompositions per filter.
         let mut labeled: LabeledGraph<FuzzLabel> = LabeledGraph::new(graph.num_states());
@@ -241,13 +294,26 @@ fn masked_tarjan_matches_cloned_subgraph_reference_on_random_graphs() {
 
 /// The fan-out must pick the same (first-in-order) violation at every
 /// pool size, on random graphs with randomized query lists — beyond the
-/// structured queries `check_liveness` generates.
+/// structured queries `check_liveness` generates. The graphs themselves
+/// (small ones, and large ones whose BFS levels are wide enough to be
+/// expanded on the pool) must build identically at every pool size, and
+/// a pool build must abort with the same structured errors as a
+/// sequential one: the state bound at the same bound, an expired
+/// deadline, and an injected dispatch fault.
 #[test]
 fn random_query_fanout_is_pool_size_independent() {
-    for seed in 0..24u64 {
+    let _lock = pool_lock();
+    let pools: Vec<WorkerPool> = [2usize, 3, 8].map(WorkerPool::new).into();
+    let mut wide = None;
+    for seed in 0..28u64 {
         let mut rng = StdRng::seed_from_u64(0xfa40_0000 + seed);
-        let source = random_source(&mut rng);
-        let (graph, _) = CompiledRunGraph::build(&source, &QueryBudget::new(10_000))
+        let source = if seed < 24 {
+            random_source(&mut rng)
+        } else {
+            random_source_sized(&mut rng, 3_000, 9_000)
+        };
+        let budget = QueryBudget::new(10_000);
+        let (graph, states) = CompiledRunGraph::build(&source, &Executor::Sequential, &budget)
             .expect("fuzz graph in bounds");
         let queries: Vec<LoopQuery> = (0..6)
             .map(|_| {
@@ -271,12 +337,45 @@ fn random_query_fanout_is_pool_size_independent() {
         let expected = graph
             .find_first_loop(&queries, &Executor::Sequential, &unlimited)
             .expect("unlimited budget");
-        for threads in [2usize, 3, 8] {
-            let pool = WorkerPool::new(threads);
+        for pool in &pools {
+            let threads = pool.size();
+            let (pool_graph, pool_states) =
+                CompiledRunGraph::build(&source, &Executor::Pool(pool), &budget)
+                    .expect("fuzz graph in bounds");
+            assert_eq!(pool_graph.to_parts(), graph.to_parts(), "seed {seed}, pool {threads}");
+            assert_eq!(pool_states, states, "seed {seed}, pool {threads}");
             let got = graph
-                .find_first_loop(&queries, &Executor::Pool(&pool), &unlimited)
+                .find_first_loop(&queries, &Executor::Pool(pool), &unlimited)
                 .expect("unlimited budget");
             assert_eq!(got, expected, "seed {seed}, pool {threads}");
         }
+        if seed >= 24 && wide.as_ref().is_none_or(|(_, n)| graph.num_states() > *n) {
+            wide = Some((source, graph.num_states()));
+        }
     }
+
+    let (source, states) = wide.expect("a wide graph was built");
+    assert!(states > 2_000, "the wide graphs must dispatch on the pool: {states} states");
+    let pool = &pools[0];
+    let build = |budget: &QueryBudget| {
+        CompiledRunGraph::build(&source, &Executor::Pool(pool), budget).map(|(g, _)| g.num_states())
+    };
+    assert_eq!(build(&QueryBudget::new(states)), Ok(states));
+    assert_eq!(
+        build(&QueryBudget::new(states - 1)),
+        Err(EngineError::StateLimit(states - 1))
+    );
+    let expired = QueryBudget::unlimited().with_timeout(std::time::Duration::ZERO);
+    assert_eq!(build(&expired), Err(EngineError::Deadline));
+    install_fault(FaultPlan {
+        site: "dispatch".to_owned(),
+        nth: 1,
+        delay_ms: 0,
+        panic: false,
+    });
+    let faulted = build(&QueryBudget::unlimited());
+    clear_fault();
+    assert_eq!(faulted, Err(EngineError::FaultInjected));
+    // The pool survives the fault and the next build is clean.
+    assert_eq!(build(&QueryBudget::unlimited()), Ok(states));
 }
